@@ -3,12 +3,13 @@
 //!
 //! [`Matrix::matmul`] — the workhorse behind `MlpSnapshot::forward`,
 //! `forward_batch`, the GRU step and therefore the whole `amoeba-serve`
-//! inference path — uses a blocked, cache-tiled kernel: column panels of
-//! the right operand are streamed through a register-blocked micro-kernel
-//! over row panels of the left operand. The tiling only reorders *which
-//! output elements* are produced when, never the order of the `f32`
-//! additions *within* an output element (always ascending `k`), so the
-//! result is bit-identical to the naive triple loop
+//! inference path — runs the runtime-dispatched, register-blocked tile of
+//! [`crate::simd`]: a 4-row block of output accumulators stays in
+//! registers across the whole `k` loop while the right operand is read in
+//! place. The tiling only reorders *which output elements* are produced
+//! when, never the order of the `f32` additions *within* an output
+//! element (always ascending `k`), so the result is bit-identical to the
+//! naive triple loop
 //! ([`Matrix::matmul_naive`], kept as the audit/parity reference). The
 //! other routines stay deliberately simple; everything is exercised by the
 //! gradient-check suite in [`crate::gradcheck`].
@@ -213,17 +214,18 @@ impl Matrix {
         (0..self.rows).map(|r| self[(r, c)]).collect()
     }
 
-    /// Matrix product `self * rhs`, via the blocked, cache-tiled kernel.
+    /// Matrix product `self * rhs`, via the register-blocked tile of
+    /// [`crate::simd`] at the [`SimdLevel::detect`]ed level.
     ///
-    /// The right operand is processed in `NC`-column panels so a whole
-    /// `K x NC` slab of `rhs` stays cache-resident while every row of
-    /// `self` streams over it; within a panel an `MR`-row micro-kernel
-    /// reuses each loaded `rhs` row across `MR` output rows from registers
-    /// / L1. Every output element still accumulates its `a[i][k] *
-    /// b[k][j]` terms in ascending-`k` order (skipping `a == 0.0` terms,
-    /// like the reference), so the result is **bit-identical** to
-    /// [`Matrix::matmul_naive`] — the grouping-invariance property the
-    /// serving dataplane's batching and sharding are built on.
+    /// Each 4-row × `NR`-column output tile keeps its accumulators in
+    /// registers across the whole `k` loop, reading `rhs` row-major in
+    /// place. Every output element still accumulates `acc + (a[i][k] *
+    /// b[k][j])` in ascending-`k` order, with separate mul and add, and
+    /// skips `a == 0.0` terms like the reference (a skipped term leaves
+    /// the accumulator untouched), so the result is **bit-identical** to
+    /// [`Matrix::matmul_naive`] at every SIMD level — the
+    /// grouping-invariance property the serving dataplane's batching and
+    /// sharding are built on.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
@@ -231,14 +233,13 @@ impl Matrix {
         self.matmul_with(rhs, MatmulKernel::Blocked)
     }
 
-    /// Matrix product through an explicitly chosen kernel: the scalar
-    /// blocked path ([`MatmulKernel::Blocked`], identical to
-    /// [`Matrix::matmul`]) or the runtime-dispatched SIMD micro-panel
-    /// ([`MatmulKernel::Simd`]). Both are **bit-identical** — the SIMD
-    /// path vectorises over output columns and never reorders an output
-    /// element's ascending-`k` summation or fuses its roundings (see
-    /// [`crate::simd`]) — so kernel choice is a pure throughput knob, the
-    /// property `amoeba-serve`'s pluggable inference backends rest on.
+    /// Matrix product through an explicitly chosen [`MatmulKernel`].
+    /// Both kernels take the same [`SimdLevel::detect`]-dispatched tile
+    /// as [`Matrix::matmul`], which vectorises over output columns and
+    /// never reorders an output element's ascending-`k` summation or
+    /// fuses its roundings (see [`crate::simd`]); the results are
+    /// **bit-identical**, the property `amoeba-serve`'s pluggable
+    /// inference backends rest on.
     ///
     /// # Panics
     /// Panics on inner-dimension mismatch.
@@ -251,8 +252,7 @@ impl Matrix {
         let (m, kk, n) = (self.rows, self.cols, rhs.cols);
         let mut out = Matrix::zeros(m, n);
         let level = match kernel {
-            MatmulKernel::Blocked => SimdLevel::Scalar,
-            MatmulKernel::Simd => SimdLevel::detect(),
+            MatmulKernel::Blocked | MatmulKernel::Simd => SimdLevel::detect(),
         };
         simd::matmul_into(level, &self.data, &rhs.data, &mut out.data, m, kk, n);
         out

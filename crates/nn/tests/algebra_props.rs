@@ -124,9 +124,10 @@ proptest! {
     // Few cases: each one multiplies matrices up to 512x512 twice.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The blocked cache-tiled kernel is bit-identical to the naive
-    /// reference on random shapes up to 512x512 — the contract that makes
-    /// the serving dataplane's batched/sharded inference exact.
+    /// `Matrix::matmul` (the dispatched register-blocked tile) is
+    /// bit-identical to the naive reference on random shapes up to
+    /// 512x512 — the contract that makes the serving dataplane's
+    /// batched/sharded inference exact.
     #[test]
     fn blocked_matmul_is_bit_exact_up_to_512(
         m in 1usize..=512,
@@ -153,11 +154,12 @@ proptest! {
         }
     }
 
-    /// The runtime-dispatched SIMD micro-kernel is bit-identical to the
-    /// naive reference on random shapes up to 512x512 — including
-    /// non-multiple-of-lane-width column tails (shapes are unconstrained,
-    /// so most draws straddle the 8-wide AVX2 / 4-wide SSE2 lanes), exact
-    /// zeros (the shared skip path), and the 1-row / 1-col edges.
+    /// The runtime-dispatched SIMD tile is bit-identical to the naive
+    /// reference on random shapes up to 512x512 — including row tails
+    /// and non-multiple-of-lane-width column tails (shapes are
+    /// unconstrained, so most draws straddle the 4-row tile and the
+    /// 16/8/4-wide lanes), exact zeros (the masked-add skip), and the
+    /// 1-row / 1-col edges.
     #[test]
     fn simd_matmul_is_bit_exact_up_to_512(
         m in 1usize..=512,

@@ -7,8 +7,8 @@
 //! delegates to the engine the comparison doubles as a delegation-cost
 //! check), and a 6-tenant engine run to size multi-tenant packing.
 //!
-//! The backend benches size the SIMD win: the raw matmul micro-kernel
-//! (blocked vs SIMD at serving-shaped operands) and the end-to-end
+//! The backend benches size the SIMD win: the raw matmul tile
+//! (both `MatmulKernel`s at serving-shaped operands) and the end-to-end
 //! engine at batch 1/64/256 under `CpuBackend` vs `SimdBackend` — the
 //! two backends are bit-identical (conformance-pinned), so any delta is
 //! pure throughput.
@@ -285,9 +285,10 @@ fn bench_engine_multi_tenant(c: &mut Criterion) {
     });
 }
 
-/// The raw micro-kernel at serving-shaped operands (a batch of
-/// concatenated encoder states against an actor layer): blocked scalar
-/// vs runtime-dispatched SIMD, bit-identical by construction.
+/// The raw matmul at serving-shaped operands (a batch of concatenated
+/// encoder states against an actor layer) under both `MatmulKernel`s,
+/// which take the same runtime-dispatched tile: bit-identical by
+/// construction, and expected to time alike.
 fn bench_matmul_kernels(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     for (m, k, n) in [(64usize, 64usize, 64usize), (256, 64, 192)] {

@@ -17,8 +17,8 @@
 //!
 //! | Kind     | Backend          | Weights                    | Tier | Contract |
 //! |----------|------------------|----------------------------|------|----------|
-//! | `cpu`    | [`CpuBackend`]   | row-major, blocked kernel  | A    | bit-exact reference |
-//! | `simd`   | [`SimdBackend`]  | row-major, SIMD dispatch (AVX-512 → AVX2 → SSE2 → scalar) | A | bit-identical to `cpu` |
+//! | `cpu`    | [`CpuBackend`]   | row-major, dispatched tile (AVX-512 → AVX2 → SSE2 → scalar) | A | bit-exact reference |
+//! | `simd`   | [`SimdBackend`]  | row-major, same dispatched tile | A | bit-identical to `cpu` |
 //! | `packed` | [`PackedBackend`]| panel-packed, SIMD dispatch | A   | bit-identical to `cpu` |
 //! | `quant`  | [`QuantBackend`] | per-column symmetric int8  | B    | bounded divergence only |
 //!
@@ -127,9 +127,10 @@ pub trait InferenceBackend: Send + Sync {
 }
 
 /// The reference backend: the frozen snapshots' own fused fast paths
-/// (blocked cache-tiled matmul, fused GRU gate pass), bit-identical to
-/// the per-flow paths by construction. This is the path every previous
-/// single-tenant `Dataplane` release shipped.
+/// (`Matrix::matmul`, i.e. the runtime-dispatched register-blocked
+/// `amoeba_nn::simd` tile, and the fused GRU gate pass), bit-identical
+/// to the per-flow paths by construction. This is the path every
+/// previous single-tenant `Dataplane` release shipped.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CpuBackend;
 
@@ -154,13 +155,14 @@ impl InferenceBackend for CpuBackend {
 }
 
 /// The SIMD backend: the same fused snapshot passes as [`CpuBackend`],
-/// with every matmul routed through the runtime-dispatched
-/// `amoeba_nn::simd` micro-kernel (`MatmulKernel::Simd`: AVX2 → SSE2 on
-/// x86-64, scalar fallback elsewhere). Bit-identical to [`CpuBackend`]
-/// on every input — the kernel vectorises across output columns only and
-/// never reorders an element's ascending-`k` summation or fuses its
-/// roundings — so switching backends is a pure throughput knob, pinned
-/// by the crate's backend-conformance suite.
+/// with every matmul requested as `MatmulKernel::Simd` — the
+/// runtime-dispatched `amoeba_nn::simd` tile (AVX-512F → AVX2 → SSE2 on
+/// x86-64, scalar elsewhere), the same tile `MatmulKernel::Blocked` and
+/// so [`CpuBackend`] take. Bit-identical to
+/// [`CpuBackend`] on every input — the tile vectorises across output
+/// columns only and never reorders an element's ascending-`k` summation
+/// or fuses its roundings — so switching backends is a pure throughput
+/// knob, pinned by the crate's backend-conformance suite.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimdBackend;
 
