@@ -34,22 +34,29 @@ fn small_ctx() -> (amoeba_traffic::Splits, Arc<dyn Censor>) {
     (splits, censor)
 }
 
-/// Table 1 kernel: censor inference over one flow.
+/// Table 1 kernel: censor inference over one flow, a 60-packet prefix
+/// (serving and training score prefixes as a flow grows).
 fn bench_table1_classifier_inference(c: &mut Criterion) {
     let (splits, dt) = small_ctx();
-    let df: Arc<dyn Censor> = Arc::new(train_censor(
-        CensorKind::Df,
-        &splits.clf_train,
-        Layer::Tcp,
-        &TrainConfig {
-            epochs: 2,
-            ..TrainConfig::fast()
-        },
-        2,
-    ));
-    let flow = splits.test.flows[0].clone();
+    let cfg = TrainConfig {
+        epochs: 2,
+        ..TrainConfig::fast()
+    };
+    let mut rng = StdRng::seed_from_u64(9);
+    let flow = std::iter::repeat_with(|| TorGenerator::default().generate(&mut rng))
+        .find(|f| f.len() >= 60)
+        .expect("an endless generator")
+        .prefix(60);
     c.bench_function("table1_dt_score_flow", |b| b.iter(|| dt.score(&flow)));
-    c.bench_function("table1_df_score_flow", |b| b.iter(|| df.score(&flow)));
+    for (name, kind) in [
+        ("table1_df_score_flow", CensorKind::Df),
+        ("table1_cumul_score_flow", CensorKind::Cumul),
+        ("table1_rf_score_flow", CensorKind::Rf),
+        ("table1_lstm_score_flow", CensorKind::Lstm),
+    ] {
+        let censor = train_censor(kind, &splits.clf_train, Layer::Tcp, &cfg, 2);
+        c.bench_function(name, |b| b.iter(|| censor.score(&flow)));
+    }
 }
 
 /// Figure 4 kernel: the 166-feature extractor.

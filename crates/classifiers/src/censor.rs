@@ -14,11 +14,10 @@
 use amoeba_nn::{Forward, Matrix};
 use amoeba_traffic::Flow;
 
-/// The shared numeric scoring path: every censor family's per-flow
-/// probability is one [`Forward`] evaluation over that family's numeric
-/// representation (position-major rows for the NN censors, hand-crafted /
-/// cumulative features for DT/RF/CUMUL). Centralising it here keeps the
-/// six `Censor::score` impls free of duplicated forward plumbing.
+/// The feed-forward NN censors' (DF, SDAE) scoring path: a flow's
+/// probability is one [`Forward`] evaluation over its position-major row.
+/// DT, RF and CUMUL score their feature slice directly instead, with no
+/// 1-row [`Matrix`] in between; their [`Forward`] impls serve batches.
 pub(crate) fn score_row(net: &dyn Forward, row: &[f32]) -> f32 {
     let x = Matrix::from_vec(1, row.len(), row.to_vec());
     net.forward(&x)[(0, 0)]

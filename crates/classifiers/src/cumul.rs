@@ -5,7 +5,7 @@ use amoeba_ml::{StandardScaler, Svm};
 use amoeba_nn::{Forward, Matrix};
 use amoeba_traffic::{cumul_features, Flow};
 
-use crate::censor::{score_row, Censor, CensorKind};
+use crate::censor::{Censor, CensorKind};
 
 /// CUMUL censor: scaler + SVM over interpolated cumulative traces.
 #[derive(Debug, Clone)]
@@ -42,7 +42,9 @@ impl Forward for CumulCensor {
 
 impl Censor for CumulCensor {
     fn score(&self, flow: &Flow) -> f32 {
-        score_row(self, &self.features(flow))
+        let mut x = self.features(flow);
+        self.scaler.transform_row_in_place(&mut x);
+        self.svm.predict_proba(&x)
     }
 
     fn kind(&self) -> CensorKind {

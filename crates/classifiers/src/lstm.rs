@@ -113,16 +113,15 @@ impl Censor for LstmCensor {
     fn score(&self, flow: &Flow) -> f32 {
         // One timestep per row, per the recurrent Forward convention; an
         // empty flow contributes a single zero step (no evidence).
-        let steps = self.repr.to_steps(flow);
-        let x = if steps.is_empty() {
-            Matrix::zeros(1, 2)
-        } else {
-            let mut m = Matrix::zeros(steps.len(), 2);
-            for (t, s) in steps.iter().enumerate() {
-                m.row_mut(t).copy_from_slice(s);
-            }
-            m
-        };
+        let mut x = Matrix::zeros(flow.len().max(1), FlowRepr::CHANNELS);
+        for (step, p) in x
+            .as_mut_slice()
+            .chunks_exact_mut(FlowRepr::CHANNELS)
+            .zip(&flow.packets)
+        {
+            step[0] = self.repr.norm_size(p.size);
+            step[1] = self.repr.norm_delay(p.delay_ms);
+        }
         self.net.forward(&x)[(0, 0)]
     }
 

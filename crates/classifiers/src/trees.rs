@@ -5,7 +5,7 @@ use amoeba_ml::{DecisionTree, RandomForest};
 use amoeba_nn::{Forward, Matrix};
 use amoeba_traffic::{extract_features, Flow, Layer};
 
-use crate::censor::{score_row, Censor, CensorKind};
+use crate::censor::{Censor, CensorKind};
 
 /// Decision-tree censor.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ impl Forward for TreeCensor {
 
 impl Censor for TreeCensor {
     fn score(&self, flow: &Flow) -> f32 {
-        score_row(self, &extract_features(flow, self.layer))
+        self.tree.predict_proba(&extract_features(flow, self.layer))
     }
 
     fn kind(&self) -> CensorKind {
@@ -59,7 +59,8 @@ impl Forward for ForestCensor {
 
 impl Censor for ForestCensor {
     fn score(&self, flow: &Flow) -> f32 {
-        score_row(self, &extract_features(flow, self.layer))
+        self.forest
+            .predict_proba(&extract_features(flow, self.layer))
     }
 
     fn kind(&self) -> CensorKind {

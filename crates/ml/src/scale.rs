@@ -54,11 +54,20 @@ impl StandardScaler {
 
     /// Standardises one feature row.
     pub fn transform_row(&self, row: &[f32]) -> Vec<f32> {
+        let mut out = row.to_vec();
+        self.transform_row_in_place(&mut out);
+        out
+    }
+
+    /// Standardises one feature row in the caller's buffer.
+    ///
+    /// # Panics
+    /// Panics when the row is not as wide as the fitted features.
+    pub fn transform_row_in_place(&self, row: &mut [f32]) {
         assert_eq!(row.len(), self.mean.len(), "transform: width mismatch");
-        row.iter()
-            .zip(self.mean.iter().zip(&self.std))
-            .map(|(&v, (&m, &s))| (v - m) / s)
-            .collect()
+        for (v, (&m, &s)) in row.iter_mut().zip(self.mean.iter().zip(&self.std)) {
+            *v = (*v - m) / s;
+        }
     }
 
     /// Standardises a whole dataset.

@@ -58,10 +58,48 @@ impl Default for SvmConfig {
     }
 }
 
+/// Support vectors per block of [`Svm`]'s layout, one lane each.
+const LANES: usize = 16;
+
+/// Per lane of one block, the sum of `term(sv_f, x_f)` over the features
+/// in ascending order, from the `-0.0` that `Iterator::sum` starts at.
+/// Kept out of line so the lanes vectorise.
+#[inline(never)]
+fn lane_sums(
+    columns: &[[f32; LANES]],
+    features: &[f32],
+    term: impl Fn(f32, f32) -> f32,
+) -> [f32; LANES] {
+    let mut acc = [-0.0f32; LANES];
+    for (column, &xf) in columns.iter().zip(features) {
+        for (a, &v) in acc.iter_mut().zip(column) {
+            *a += term(v, xf);
+        }
+    }
+    acc
+}
+
 /// Trained SVM model (support vectors + multipliers).
+///
+/// **Layout.** The support vectors are stored once, in blocks of
+/// `LANES` (16), feature-major within a block: feature `f` of support vector
+/// `b * LANES + l` sits at `blocks[(b * dim + f) * LANES + l]`, and the
+/// last block is zero-padded. [`Svm::decision_function`] then streams one
+/// block per pass and keeps `LANES` independent kernel sums in flight,
+/// instead of one serial sum per support vector.
+///
+/// **Exactness.** It is bit-identical to summing `coef_i · K(sv_i, x)`
+/// over the support vectors in order with [`Kernel`]'s per-pair formula:
+/// each lane adds its `(sv − x)²` (or `sv · x`) terms over the features in
+/// ascending order from the same `-0.0` start as `Iterator::sum`, with no
+/// fused multiply-add, and the `exp` and the `s += coef · k` accumulation
+/// stay scalar, in support-vector order.
 #[derive(Debug, Clone)]
 pub struct Svm {
-    support_vectors: Vec<Vec<f32>>,
+    /// The support vectors, in the blocked layout above.
+    blocks: Vec<f32>,
+    /// Feature width of the support vectors.
+    dim: usize,
     /// `alpha_i * y_i` for each support vector (y in {-1, +1}).
     coef: Vec<f32>,
     bias: f32,
@@ -72,11 +110,13 @@ impl Svm {
     /// Trains with simplified SMO on binary labels 0/1.
     ///
     /// # Panics
-    /// Panics on empty input or labels other than 0/1.
+    /// Panics on empty input, ragged rows or labels other than 0/1.
     pub fn fit<R: Rng + ?Sized>(x: &[Vec<f32>], y: &[u8], config: SvmConfig, rng: &mut R) -> Self {
         assert!(!x.is_empty(), "Svm::fit: empty dataset");
         assert_eq!(x.len(), y.len(), "Svm::fit: x/y length mismatch");
         assert!(y.iter().all(|&l| l <= 1), "Svm::fit: labels must be 0/1");
+        let dim = x[0].len();
+        assert!(x.iter().all(|r| r.len() == dim), "Svm::fit: ragged rows");
         let n = x.len();
         let ys: Vec<f32> = y.iter().map(|&l| if l == 1 { 1.0 } else { -1.0 }).collect();
 
@@ -173,27 +213,56 @@ impl Svm {
             }
         }
 
-        let mut support_vectors = Vec::new();
-        let mut coef = Vec::new();
-        for i in 0..n {
-            if alpha[i] > 1e-7 {
-                support_vectors.push(x[i].clone());
-                coef.push(alpha[i] * ys[i]);
+        let support: Vec<usize> = (0..n).filter(|&i| alpha[i] > 1e-7).collect();
+        let coef = support.iter().map(|&i| alpha[i] * ys[i]).collect();
+        let mut blocks = vec![0.0f32; support.len().div_ceil(LANES) * dim * LANES];
+        for (j, &i) in support.iter().enumerate() {
+            let block = j / LANES * dim * LANES;
+            for (f, &v) in x[i].iter().enumerate() {
+                blocks[block + f * LANES + j % LANES] = v;
             }
         }
         Self {
-            support_vectors,
+            blocks,
+            dim,
             coef,
             bias: b,
             kernel: config.kernel,
         }
     }
 
-    /// Signed decision value (`> 0` ⇒ class 1).
+    /// Signed decision value (`> 0` ⇒ class 1); `bias` when there are no
+    /// support vectors.
+    ///
+    /// # Panics
+    /// Panics when `features` is not as wide as the support vectors.
     pub fn decision_function(&self, features: &[f32]) -> f32 {
         let mut s = self.bias;
-        for (sv, &c) in self.support_vectors.iter().zip(&self.coef) {
-            s += c * self.kernel.eval(sv, features);
+        if self.coef.is_empty() {
+            return s;
+        }
+        assert_eq!(
+            features.len(),
+            self.dim,
+            "Svm::decision_function: width mismatch"
+        );
+        let width = self.dim * LANES;
+        for (b, coef) in self.coef.chunks(LANES).enumerate() {
+            let (columns, _) = self.blocks[b * width..(b + 1) * width].as_chunks::<LANES>();
+            match self.kernel {
+                Kernel::Linear => {
+                    let dots = lane_sums(columns, features, |v, xf| v * xf);
+                    for (&c, &k) in coef.iter().zip(&dots) {
+                        s += c * k;
+                    }
+                }
+                Kernel::Rbf { gamma } => {
+                    let d2 = lane_sums(columns, features, |v, xf| (v - xf) * (v - xf));
+                    for (&c, &d2) in coef.iter().zip(&d2) {
+                        s += c * (-gamma * d2).exp();
+                    }
+                }
+            }
         }
         s
     }
@@ -211,7 +280,7 @@ impl Svm {
 
     /// Number of support vectors retained.
     pub fn n_support_vectors(&self) -> usize {
-        self.support_vectors.len()
+        self.coef.len()
     }
 }
 
@@ -295,6 +364,88 @@ mod tests {
         let svm = Svm::fit(&x, &y, SvmConfig::default(), &mut rng);
         assert!(svm.n_support_vectors() > 0);
         assert!(svm.n_support_vectors() <= 150);
+    }
+
+    /// Support vector `j`, read back out of the blocked layout.
+    fn support_vector(svm: &Svm, j: usize) -> Vec<f32> {
+        let block = j / LANES * svm.dim * LANES;
+        (0..svm.dim)
+            .map(|f| svm.blocks[block + f * LANES + j % LANES])
+            .collect()
+    }
+
+    /// The serial per-support-vector sum the blocked layout replaced.
+    fn reference_decision(svm: &Svm, x: &[f32]) -> f32 {
+        let mut s = svm.bias;
+        for (j, &c) in svm.coef.iter().enumerate() {
+            s += c * svm.kernel.eval(&support_vector(svm, j), x);
+        }
+        s
+    }
+
+    #[test]
+    fn blocked_decision_is_bit_exact() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let dim = 9;
+        let mut sv_counts = Vec::new();
+        for (n, kernel) in [
+            (40, Kernel::Rbf { gamma: 0.05 }),
+            (120, Kernel::Rbf { gamma: 0.5 }),
+            (300, Kernel::Rbf { gamma: 0.02 }),
+            (120, Kernel::Linear),
+        ] {
+            let x: Vec<Vec<f32>> = (0..n)
+                .map(|_| (0..dim).map(|_| rng.gen_range(-2.0..2.0)).collect())
+                .collect();
+            let y: Vec<u8> = x.iter().map(|r| u8::from(r[0] * r[1] > 0.1)).collect();
+            let cfg = SvmConfig {
+                kernel,
+                ..Default::default()
+            };
+            let svm = Svm::fit(&x, &y, cfg, &mut rng);
+            sv_counts.push(svm.n_support_vectors());
+            let mut queries = x.clone();
+            queries.push(vec![0.0; dim]);
+            queries.push(vec![-0.0; dim]);
+            queries.push(
+                (0..dim)
+                    .map(|f| [f32::INFINITY, -0.0, 1e30, f32::NAN][f % 4])
+                    .collect(),
+            );
+            queries.push(
+                (0..dim)
+                    .map(|f| if f % 2 == 0 { -1e-38 } else { 0.0 })
+                    .collect(),
+            );
+            for q in &queries {
+                let (got, want) = (svm.decision_function(q), reference_decision(&svm, q));
+                assert_eq!(got.to_bits(), want.to_bits(), "{kernel:?}: {got} vs {want}");
+            }
+        }
+        assert!(sv_counts.iter().any(|&c| c % LANES != 0), "{sv_counts:?}");
+        assert!(sv_counts.iter().any(|&c| c > 2 * LANES), "{sv_counts:?}");
+    }
+
+    #[test]
+    fn no_support_vectors_return_the_bias() {
+        let svm = Svm {
+            blocks: Vec::new(),
+            dim: 3,
+            coef: Vec::new(),
+            bias: -0.25,
+            kernel: Kernel::Rbf { gamma: 0.5 },
+        };
+        assert_eq!(svm.decision_function(&[1.0, 2.0, 3.0]), -0.25);
+        assert_eq!(svm.predict(&[]), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "width mismatch")]
+    fn rejects_a_feature_width_mismatch() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let (x, y) = ring_dataset(60, &mut rng);
+        let svm = Svm::fit(&x, &y, SvmConfig::default(), &mut rng);
+        let _ = svm.decision_function(&[0.0, 0.0, 0.0]);
     }
 
     #[test]

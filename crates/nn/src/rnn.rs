@@ -12,7 +12,7 @@ use crate::forward::Forward;
 use crate::init::xavier_uniform_shaped;
 use crate::matrix::Matrix;
 use crate::packed::PreparedRhs;
-use crate::simd::MatmulKernel;
+use crate::simd::{self, MatmulKernel, SimdLevel};
 use crate::tensor::Tensor;
 
 /// The fused GRU gate blend shared by [`GruCellSnapshot::step_with`] and
@@ -492,21 +492,32 @@ pub struct LstmCellSnapshot {
 }
 
 impl LstmCellSnapshot {
-    /// One inference step on raw matrices; returns `(h', c')`.
-    pub fn step(&self, x: &Matrix, h: &Matrix, c: &Matrix) -> (Matrix, Matrix) {
+    /// One batch-1 inference step, fused: updates `h` and `c` in place
+    /// with no per-gate temporaries. `gates` is scratch of at least
+    /// `8 · hidden`: it receives `x·Wx` and `h·Wh` from the same matmul
+    /// tile [`Matrix::matmul`] runs, and one pass then applies, per hidden
+    /// unit, the unfused step's operations in its order: the gate
+    /// pre-activation `(x·Wx + h·Wh) + b`, `c' = f·c + i·g` and
+    /// `h' = o·tanh(c')`. The result is bit-identical to the unfused step.
+    fn step(&self, x: &[f32], h: &mut [f32], c: &mut [f32], gates: &mut [f32]) {
         let hs = self.hidden;
-        let gates = x
-            .matmul(&self.wx)
-            .add(&h.matmul(&self.wh))
-            .add_row_broadcast(&self.b);
+        let (gx, gh) = gates[..8 * hs].split_at_mut(4 * hs);
+        gx.fill(0.0);
+        gh.fill(0.0);
+        let level = SimdLevel::detect();
+        simd::matmul_into(level, x, self.wx.as_slice(), gx, 1, x.len(), 4 * hs);
+        simd::matmul_into(level, h, self.wh.as_slice(), gh, 1, hs, 4 * hs);
+        let b = self.b.as_slice();
         let sig = |v: f32| 1.0 / (1.0 + (-v).exp());
-        let i = gates.slice_cols(0, hs).map(sig);
-        let f = gates.slice_cols(hs, 2 * hs).map(sig);
-        let g = gates.slice_cols(2 * hs, 3 * hs).map(f32::tanh);
-        let o = gates.slice_cols(3 * hs, 4 * hs).map(sig);
-        let c_new = f.hadamard(c).add(&i.hadamard(&g));
-        let h_new = o.hadamard(&c_new.map(f32::tanh));
-        (h_new, c_new)
+        let gate = |k: usize| (gx[k] + gh[k]) + b[k];
+        for j in 0..hs {
+            let i = sig(gate(j));
+            let f = sig(gate(hs + j));
+            let g = gate(2 * hs + j).tanh();
+            let o = sig(gate(3 * hs + j));
+            c[j] = f * c[j] + i * g;
+            h[j] = o * c[j].tanh();
+        }
     }
 }
 
@@ -577,24 +588,22 @@ pub struct LstmSnapshot {
 impl Forward for LstmSnapshot {
     /// Encodes a batch-1 sequence: `x` is `(T, in)` with one timestep per
     /// row; returns the final top-layer hidden state `(1, hidden)`. An
-    /// empty sequence (0 rows) yields the zero state.
+    /// empty sequence (0 rows) yields the zero state. The state and gate
+    /// buffers are allocated once per sequence, not per step.
     fn forward(&self, x: &Matrix) -> Matrix {
-        let mut hs: Vec<Matrix> = self
-            .cells
-            .iter()
-            .map(|c| Matrix::zeros(1, c.hidden))
-            .collect();
+        let mut hs: Vec<Vec<f32>> = self.cells.iter().map(|c| vec![0.0; c.hidden]).collect();
         let mut cs = hs.clone();
+        let widest = self.cells.iter().map(|c| c.hidden).max().unwrap_or(0);
+        let mut gates = vec![0.0f32; 8 * widest];
         for t in 0..x.rows() {
-            let mut input = Matrix::from_vec(1, x.cols(), x.row(t).to_vec());
             for (l, cell) in self.cells.iter().enumerate() {
-                let (h_new, c_new) = cell.step(&input, &hs[l], &cs[l]);
-                input = h_new.clone();
-                hs[l] = h_new;
-                cs[l] = c_new;
+                let (below, rest) = hs.split_at_mut(l);
+                let input = below.last().map_or(x.row(t), Vec::as_slice);
+                cell.step(input, &mut rest[0], &mut cs[l], &mut gates);
             }
         }
-        hs.pop().expect("nonempty state")
+        let top = hs.pop().expect("nonempty state");
+        Matrix::from_vec(1, top.len(), top)
     }
 }
 

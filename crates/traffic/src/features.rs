@@ -8,12 +8,26 @@
 //! is tagged [`FeatureKind::Packet`] or [`FeatureKind::Timing`], which is
 //! what the Figure 4 experiment (packet- vs timing-feature importance)
 //! consumes.
+//!
+//! [`extract_features`] and [`feature_schema`] share one emitter, so the
+//! names and the values cannot drift apart. Names travel as
+//! [`fmt::Arguments`] and only [`feature_schema`] formats them into
+//! `String`s, once per process; extraction formats none.
+//!
+//! **Allocation rule.** One [`extract_features`] call allocates its output
+//! and two scratch buffers sized to the flow, however long the flow is:
+//! one gathers each sample in turn (a direction's sizes or gaps, one burst
+//! statistic, the cumulative trace) and the other is what that sample is
+//! sorted into. Summaries come back as fixed `[f32; 12]` arrays and
+//! histograms are written into fixed arrays. Every sum runs in packet
+//! order, as it always has, so no feature bit depends on this layout.
 
+use std::fmt;
 use std::sync::OnceLock;
 
 use crate::flow::{Direction, Flow};
 use crate::generate::Layer;
-use crate::stats::{histogram, Summary};
+use crate::stats::{histogram, mean, Summary};
 
 /// Total number of features produced by [`extract_features`].
 pub const NUM_FEATURES: usize = 166;
@@ -36,95 +50,119 @@ pub struct FeatureSchema {
     pub kinds: Vec<FeatureKind>,
 }
 
-fn emit_all(flow: &Flow, layer: Layer, emit: &mut impl FnMut(String, FeatureKind, f32)) {
+/// Clears `sample`, fills it from `values` and returns it.
+fn gather(sample: &mut Vec<f32>, values: impl Iterator<Item = f32>) -> &[f32] {
+    sample.clear();
+    sample.extend(values);
+    sample
+}
+
+fn emit_all(
+    flow: &Flow,
+    layer: Layer,
+    emit: &mut impl FnMut(fmt::Arguments<'_>, FeatureKind, f32),
+) {
+    use Direction::{Inbound, Outbound};
     use FeatureKind::{Packet, Timing};
     let max_unit = layer.max_unit() as f32;
-
-    let out_sizes: Vec<f32> = flow
-        .packets
-        .iter()
-        .filter(|p| p.direction() == Direction::Outbound)
-        .map(|p| p.magnitude() as f32)
-        .collect();
-    let in_sizes: Vec<f32> = flow
-        .packets
-        .iter()
-        .filter(|p| p.direction() == Direction::Inbound)
-        .map(|p| p.magnitude() as f32)
-        .collect();
-    let bi_sizes: Vec<f32> = flow.packets.iter().map(|p| p.magnitude() as f32).collect();
+    let mut sample = Vec::with_capacity(flow.len());
+    let mut sorted = Vec::with_capacity(flow.len());
 
     // --- 1. bidirectional packet-size statistics (3 x 12 = 36, Packet) ---
-    for (dir, sizes) in [("out", &out_sizes), ("in", &in_sizes), ("bi", &bi_sizes)] {
-        let s = Summary::of(sizes);
-        for (name, v) in Summary::names().iter().zip(s.to_vec()) {
-            emit(format!("size_{dir}_{name}"), Packet, v);
+    // The out/in sizes also give the size histograms (section 4) and the
+    // packet and byte counts, the sorted bi sizes the size diversity
+    // (section 8).
+    let mut size_hist = [[0.0f32; 10]; 2];
+    let mut pkt_count = [0.0f32; 2];
+    let mut byte_count = [0.0f32; 2];
+    for (i, (tag, dir)) in [("out", Some(Outbound)), ("in", Some(Inbound)), ("bi", None)]
+        .into_iter()
+        .enumerate()
+    {
+        let sizes = gather(
+            &mut sample,
+            flow.packets
+                .iter()
+                .filter(|p| dir.is_none_or(|d| p.direction() == d))
+                .map(|p| p.magnitude() as f32),
+        );
+        let s = Summary::of_sorting(sizes, &mut sorted);
+        for (name, v) in Summary::names().iter().zip(s.to_array()) {
+            emit(format_args!("size_{tag}_{name}"), Packet, v);
+        }
+        if i < 2 {
+            histogram(sizes, 0.0, max_unit, &mut size_hist[i]);
+            pkt_count[i] = sizes.len() as f32;
+            byte_count[i] = sizes.iter().sum();
         }
     }
+    let distinct_sizes = sorted.chunk_by(|a, b| a == b).count() as f32;
 
     // --- 2. timing statistics (3 x 12 = 36, Timing) -----------------------
-    let out_gaps = flow.same_direction_gaps(Direction::Outbound);
-    let in_gaps = flow.same_direction_gaps(Direction::Inbound);
-    let bi_gaps: Vec<f32> = flow.packets.iter().skip(1).map(|p| p.delay_ms).collect();
-    for (dir, gaps) in [("out", &out_gaps), ("in", &in_gaps), ("bi", &bi_gaps)] {
-        let s = Summary::of(gaps);
-        for (name, v) in Summary::names().iter().zip(s.to_vec()) {
-            emit(format!("gap_{dir}_{name}"), Timing, v);
+    // The out/in gaps also give the mean gaps, the bi gaps the delay
+    // histogram (section 5) and the idle and first-5 figures (section 8).
+    let mut mean_gap = [0.0f32; 2];
+    let mut gap_hist = [0.0f32; 10];
+    let mut idle = 0.0f32;
+    let mut mean_gap_first5 = 0.0f32;
+    for (i, tag) in ["out", "in", "bi"].into_iter().enumerate() {
+        let gaps = match i {
+            0 => gather(&mut sample, flow.same_direction_gaps(Outbound)),
+            1 => gather(&mut sample, flow.same_direction_gaps(Inbound)),
+            _ => gather(&mut sample, flow.packets.iter().skip(1).map(|p| p.delay_ms)),
+        };
+        let s = Summary::of_sorting(gaps, &mut sorted);
+        for (name, v) in Summary::names().iter().zip(s.to_array()) {
+            emit(format_args!("gap_{tag}_{name}"), Timing, v);
+        }
+        if i < 2 {
+            mean_gap[i] = mean(gaps);
+        } else {
+            histogram(gaps, 0.0, 500.0, &mut gap_hist);
+            idle = gaps.iter().filter(|&&g| g > 100.0).sum();
+            mean_gap_first5 = mean(&gaps[..gaps.len().min(5)]);
         }
     }
 
     // --- 3. burst behaviour (2 x (7 Packet + 2 Timing) = 18) --------------
-    let bursts = flow.bursts();
-    for dir in [Direction::Outbound, Direction::Inbound] {
-        let tag = if dir == Direction::Outbound {
-            "out"
-        } else {
-            "in"
-        };
-        let lens: Vec<f32> = bursts
-            .iter()
-            .filter(|b| b.0 == dir)
-            .map(|b| b.1 as f32)
-            .collect();
-        let bytes: Vec<f32> = bursts
-            .iter()
-            .filter(|b| b.0 == dir)
-            .map(|b| b.2 as f32)
-            .collect();
-        let durations: Vec<f32> = bursts.iter().filter(|b| b.0 == dir).map(|b| b.3).collect();
-        let ls = Summary::of(&lens);
-        let bs = Summary::of(&bytes);
-        let ds = Summary::of(&durations);
-        emit(format!("burst_{tag}_count"), Packet, lens.len() as f32);
-        emit(format!("burst_{tag}_len_mean"), Packet, ls.mean);
-        emit(format!("burst_{tag}_len_std"), Packet, ls.std);
-        emit(format!("burst_{tag}_len_max"), Packet, ls.max);
-        emit(format!("burst_{tag}_bytes_mean"), Packet, bs.mean);
-        emit(format!("burst_{tag}_bytes_std"), Packet, bs.std);
-        emit(format!("burst_{tag}_bytes_max"), Packet, bs.max);
-        emit(format!("burst_{tag}_dur_mean"), Timing, ds.mean);
-        emit(format!("burst_{tag}_dur_max"), Timing, ds.max);
+    for (tag, dir) in [("out", Outbound), ("in", Inbound)] {
+        let runs = || flow.bursts().filter(move |b| b.0 == dir);
+        let ls = Summary::of_sorting(gather(&mut sample, runs().map(|b| b.1 as f32)), &mut sorted);
+        let count = sample.len() as f32;
+        let bs = Summary::of_sorting(gather(&mut sample, runs().map(|b| b.2 as f32)), &mut sorted);
+        let ds = Summary::of_sorting(gather(&mut sample, runs().map(|b| b.3)), &mut sorted);
+        emit(format_args!("burst_{tag}_count"), Packet, count);
+        emit(format_args!("burst_{tag}_len_mean"), Packet, ls.mean);
+        emit(format_args!("burst_{tag}_len_std"), Packet, ls.std);
+        emit(format_args!("burst_{tag}_len_max"), Packet, ls.max);
+        emit(format_args!("burst_{tag}_bytes_mean"), Packet, bs.mean);
+        emit(format_args!("burst_{tag}_bytes_std"), Packet, bs.std);
+        emit(format_args!("burst_{tag}_bytes_max"), Packet, bs.max);
+        emit(format_args!("burst_{tag}_dur_mean"), Timing, ds.mean);
+        emit(format_args!("burst_{tag}_dur_max"), Timing, ds.max);
     }
 
     // --- 4. size histograms (2 x 10 = 20, Packet) --------------------------
-    for (tag, sizes) in [("out", &out_sizes), ("in", &in_sizes)] {
-        for (i, frac) in histogram(sizes, 0.0, max_unit, 10).into_iter().enumerate() {
-            emit(format!("size_hist_{tag}_{i}"), Packet, frac);
+    for (tag, hist) in ["out", "in"].into_iter().zip(&size_hist) {
+        for (i, &frac) in hist.iter().enumerate() {
+            emit(format_args!("size_hist_{tag}_{i}"), Packet, frac);
         }
     }
 
     // --- 5. delay histogram (10, Timing) -----------------------------------
-    for (i, frac) in histogram(&bi_gaps, 0.0, 500.0, 10).into_iter().enumerate() {
-        emit(format!("gap_hist_bi_{i}"), Timing, frac);
+    for (i, &frac) in gap_hist.iter().enumerate() {
+        emit(format_args!("gap_hist_bi_{i}"), Timing, frac);
     }
 
     // --- 6. cumulative-trace interpolation (10, Packet) --------------------
-    let mut cumulative = Vec::with_capacity(flow.len());
     let mut acc = 0.0f32;
-    for p in &flow.packets {
-        acc += p.size as f32;
-        cumulative.push(acc);
-    }
+    let cumulative = gather(
+        &mut sample,
+        flow.packets.iter().map(|p| {
+            acc += p.size as f32;
+            acc
+        }),
+    );
     for i in 0..10 {
         let v = if cumulative.is_empty() {
             0.0
@@ -135,39 +173,37 @@ fn emit_all(flow: &Flow, layer: Layer, emit: &mut impl FnMut(String, FeatureKind
             let frac = pos - lo as f32;
             cumulative[lo] * (1.0 - frac) + cumulative[hi] * frac
         };
-        emit(format!("cumul_{i}"), Packet, v);
+        emit(format_args!("cumul_{i}"), Packet, v);
     }
 
     // --- 7. first-packets behaviour (8 Packet + 8 Timing = 16) -------------
     for i in 0..8 {
         let v = flow.packets.get(i).map(|p| p.size as f32).unwrap_or(0.0);
-        emit(format!("first_size_{i}"), Packet, v);
+        emit(format_args!("first_size_{i}"), Packet, v);
     }
     for i in 0..8 {
         let v = flow.packets.get(i).map(|p| p.delay_ms).unwrap_or(0.0);
-        emit(format!("first_gap_{i}"), Timing, v);
+        emit(format_args!("first_gap_{i}"), Timing, v);
     }
 
     // --- 8. flow-level features (11 Packet + 5 Timing = 16) ----------------
     let n = flow.len() as f32;
-    let n_out = out_sizes.len() as f32;
-    let n_in = in_sizes.len() as f32;
-    let bytes_out: f32 = out_sizes.iter().sum();
-    let bytes_in: f32 = in_sizes.iter().sum();
+    let [n_out, n_in] = pkt_count;
+    let [bytes_out, bytes_in] = byte_count;
     let duration = flow.duration_ms();
-    emit("pkt_count".into(), Packet, n);
-    emit("pkt_count_out".into(), Packet, n_out);
-    emit("pkt_count_in".into(), Packet, n_in);
+    emit(format_args!("pkt_count"), Packet, n);
+    emit(format_args!("pkt_count_out"), Packet, n_out);
+    emit(format_args!("pkt_count_in"), Packet, n_in);
     emit(
-        "pkt_ratio_out".into(),
+        format_args!("pkt_ratio_out"),
         Packet,
         if n > 0.0 { n_out / n } else { 0.0 },
     );
-    emit("bytes_total".into(), Packet, bytes_out + bytes_in);
-    emit("bytes_out".into(), Packet, bytes_out);
-    emit("bytes_in".into(), Packet, bytes_in);
+    emit(format_args!("bytes_total"), Packet, bytes_out + bytes_in);
+    emit(format_args!("bytes_out"), Packet, bytes_out);
+    emit(format_args!("bytes_in"), Packet, bytes_in);
     emit(
-        "bytes_ratio_out".into(),
+        format_args!("bytes_ratio_out"),
         Packet,
         if bytes_out + bytes_in > 0.0 {
             bytes_out / (bytes_out + bytes_in)
@@ -181,34 +217,31 @@ fn emit_all(flow: &Flow, layer: Layer, emit: &mut impl FnMut(String, FeatureKind
         .filter(|w| w[0].direction() != w[1].direction())
         .count() as f32;
     emit(
-        "dir_flip_rate".into(),
+        format_args!("dir_flip_rate"),
         Packet,
         if n > 1.0 { flips / (n - 1.0) } else { 0.0 },
     );
-    let at_max = bi_sizes.iter().filter(|&&s| s >= max_unit).count() as f32;
+    let at_max = flow
+        .packets
+        .iter()
+        .filter(|p| p.magnitude() as f32 >= max_unit)
+        .count() as f32;
     emit(
-        "frac_max_unit".into(),
+        format_args!("frac_max_unit"),
         Packet,
         if n > 0.0 { at_max / n } else { 0.0 },
     );
-    let mut unique = bi_sizes.clone();
-    unique.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    unique.dedup();
     emit(
-        "size_diversity".into(),
+        format_args!("size_diversity"),
         Packet,
-        if n > 0.0 {
-            unique.len() as f32 / n
-        } else {
-            0.0
-        },
+        if n > 0.0 { distinct_sizes / n } else { 0.0 },
     );
 
-    emit("duration_ms".into(), Timing, duration);
+    emit(format_args!("duration_ms"), Timing, duration);
     let secs = (duration / 1000.0).max(1e-6);
-    emit("pkts_per_sec".into(), Timing, n / secs);
+    emit(format_args!("pkts_per_sec"), Timing, n / secs);
     emit(
-        "bytes_per_sec".into(),
+        format_args!("bytes_per_sec"),
         Timing,
         (bytes_out + bytes_in) / secs,
     );
@@ -222,19 +255,10 @@ fn emit_all(flow: &Flow, layer: Layer, emit: &mut impl FnMut(String, FeatureKind
         .find(|(_, d)| *d == Direction::Inbound)
         .map(|(t, _)| t)
         .unwrap_or(0.0);
-    emit("first_response_ms".into(), Timing, first_response);
-    let mean_out_gap = if out_gaps.is_empty() {
-        0.0
-    } else {
-        out_gaps.iter().sum::<f32>() / out_gaps.len() as f32
-    };
-    let mean_in_gap = if in_gaps.is_empty() {
-        0.0
-    } else {
-        in_gaps.iter().sum::<f32>() / in_gaps.len() as f32
-    };
+    emit(format_args!("first_response_ms"), Timing, first_response);
+    let [mean_out_gap, mean_in_gap] = mean_gap;
     emit(
-        "gap_ratio_out_in".into(),
+        format_args!("gap_ratio_out_in"),
         Timing,
         if mean_in_gap > 1e-9 {
             mean_out_gap / mean_in_gap
@@ -242,16 +266,19 @@ fn emit_all(flow: &Flow, layer: Layer, emit: &mut impl FnMut(String, FeatureKind
             0.0
         },
     );
-    emit("burst_count_total".into(), Packet, bursts.len() as f32);
-    let longest_run = bursts.iter().map(|b| b.1).max().unwrap_or(0) as f32;
     emit(
-        "longest_run_frac".into(),
+        format_args!("burst_count_total"),
+        Packet,
+        flow.bursts().count() as f32,
+    );
+    let longest_run = flow.bursts().map(|b| b.1).max().unwrap_or(0) as f32;
+    emit(
+        format_args!("longest_run_frac"),
         Packet,
         if n > 0.0 { longest_run / n } else { 0.0 },
     );
-    let idle: f32 = bi_gaps.iter().filter(|&&g| g > 100.0).sum();
     emit(
-        "idle_frac".into(),
+        format_args!("idle_frac"),
         Timing,
         if duration > 1e-9 {
             idle / duration
@@ -259,16 +286,7 @@ fn emit_all(flow: &Flow, layer: Layer, emit: &mut impl FnMut(String, FeatureKind
             0.0
         },
     );
-    let first5: Vec<f32> = bi_gaps.iter().take(5).copied().collect();
-    emit(
-        "mean_gap_first5".into(),
-        Timing,
-        if first5.is_empty() {
-            0.0
-        } else {
-            first5.iter().sum::<f32>() / first5.len() as f32
-        },
-    );
+    emit(format_args!("mean_gap_first5"), Timing, mean_gap_first5);
 }
 
 /// Extracts the 166-feature vector for a flow on the given layer.
@@ -289,7 +307,7 @@ pub fn feature_schema() -> &'static FeatureSchema {
         let mut kinds = Vec::with_capacity(NUM_FEATURES);
         let dummy = Flow::from_pairs(&[(100, 0.0), (-200, 1.0)]);
         emit_all(&dummy, Layer::Tcp, &mut |n, k, _| {
-            names.push(n);
+            names.push(n.to_string());
             kinds.push(k);
         });
         assert_eq!(

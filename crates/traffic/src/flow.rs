@@ -217,49 +217,54 @@ impl Flow {
 
     /// Iterator over maximal same-direction runs ("bursts"), yielding
     /// `(direction, packet count, byte count, duration_ms)`.
-    pub fn bursts(&self) -> Vec<(Direction, usize, u64, f32)> {
-        let mut out = Vec::new();
-        let mut iter = self.packets.iter();
-        let Some(first) = iter.next() else {
-            return out;
-        };
-        let mut dir = first.direction();
-        let mut count = 1usize;
-        let mut bytes = first.magnitude() as u64;
-        let mut duration = 0.0f32;
-        for p in iter {
-            if p.direction() == dir {
-                count += 1;
-                bytes += p.magnitude() as u64;
-                duration += p.delay_ms;
-            } else {
-                out.push((dir, count, bytes, duration));
-                dir = p.direction();
-                count = 1;
-                bytes = p.magnitude() as u64;
-                duration = 0.0;
-            }
+    pub fn bursts(&self) -> Bursts<'_> {
+        Bursts {
+            rest: &self.packets,
         }
-        out.push((dir, count, bytes, duration));
-        out
     }
 
     /// Delays between consecutive packets *in the same direction*
     /// (the quantity plotted in Figure 11).
-    pub fn same_direction_gaps(&self, dir: Direction) -> Vec<f32> {
-        let mut gaps = Vec::new();
+    pub fn same_direction_gaps(&self, dir: Direction) -> impl Iterator<Item = f32> + '_ {
         let mut elapsed_since_last: Option<f32> = None;
-        for p in &self.packets {
+        self.packets.iter().filter_map(move |p| {
             if p.direction() == dir {
-                if let Some(e) = elapsed_since_last {
-                    gaps.push(e + p.delay_ms);
-                }
+                let gap = elapsed_since_last.map(|e| e + p.delay_ms);
                 elapsed_since_last = Some(0.0);
-            } else if let Some(e) = elapsed_since_last.as_mut() {
-                *e += p.delay_ms;
+                gap
+            } else {
+                if let Some(e) = elapsed_since_last.as_mut() {
+                    *e += p.delay_ms;
+                }
+                None
             }
+        })
+    }
+}
+
+/// The bursts of a flow, from [`Flow::bursts`]. A burst's duration sums
+/// the delays of its packets after the first, in packet order.
+#[derive(Debug, Clone)]
+pub struct Bursts<'a> {
+    rest: &'a [Packet],
+}
+
+impl Iterator for Bursts<'_> {
+    type Item = (Direction, usize, u64, f32);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (first, tail) = self.rest.split_first()?;
+        let dir = first.direction();
+        let mut count = 1usize;
+        let mut bytes = first.magnitude() as u64;
+        let mut duration = 0.0f32;
+        for p in tail.iter().take_while(|p| p.direction() == dir) {
+            count += 1;
+            bytes += p.magnitude() as u64;
+            duration += p.delay_ms;
         }
-        gaps
+        self.rest = &self.rest[count..];
+        Some((dir, count, bytes, duration))
     }
 }
 
@@ -318,7 +323,7 @@ mod tests {
     #[test]
     fn burst_segmentation() {
         let f = sample_flow();
-        let bursts = f.bursts();
+        let bursts: Vec<_> = f.bursts().collect();
         assert_eq!(bursts.len(), 4);
         assert_eq!(bursts[0], (Direction::Outbound, 1, 500, 0.0));
         assert_eq!(bursts[1].0, Direction::Inbound);
@@ -331,11 +336,11 @@ mod tests {
     fn same_direction_gaps_accumulate_through_opposite_packets() {
         let f = sample_flow();
         // Outbound packets at t=0 and t=0+2+0.5+10=12.5 -> one gap of 12.5.
-        let out_gaps = f.same_direction_gaps(Direction::Outbound);
+        let out_gaps: Vec<f32> = f.same_direction_gaps(Direction::Outbound).collect();
         assert_eq!(out_gaps.len(), 1);
         assert!((out_gaps[0] - 12.5).abs() < 1e-6);
         // Inbound at t=2, t=2.5, t=15.5 -> gaps 0.5 and 13.0.
-        let in_gaps = f.same_direction_gaps(Direction::Inbound);
+        let in_gaps: Vec<f32> = f.same_direction_gaps(Direction::Inbound).collect();
         assert_eq!(in_gaps.len(), 2);
         assert!((in_gaps[0] - 0.5).abs() < 1e-6);
         assert!((in_gaps[1] - 13.0).abs() < 1e-6);

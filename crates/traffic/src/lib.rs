@@ -26,7 +26,7 @@ pub use features::{
     extract_features, extract_features_batch, feature_schema, FeatureKind, FeatureSchema,
     NUM_FEATURES,
 };
-pub use flow::{Direction, Flow, Label, Packet};
+pub use flow::{Bursts, Direction, Flow, Label, Packet};
 pub use generate::{
     lognormal, HttpsTcpGenerator, HttpsTlsGenerator, Layer, TorGenerator, TrafficGenerator,
     V2RayGenerator,

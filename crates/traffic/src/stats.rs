@@ -1,5 +1,25 @@
 //! Small statistics helpers shared by the feature extractors and the
 //! experiment harness (ECDFs, percentiles, summary statistics).
+//!
+//! **NaN ordering.** Every sort here uses [`nan_last_cmp`]: numbers in
+//! their `partial_cmp` order, then every NaN. That is a total order, so a
+//! NaN in a sample (a NaN delay can reach the wire: `f32::clamp` passes it
+//! through) cannot make `sort_by` panic, and on NaN-free input it agrees
+//! with `partial_cmp` comparison for comparison, so the stable sort leaves
+//! finite samples (`-0.0` and `+0.0` included) in the order it always did.
+
+use std::cmp::Ordering;
+
+/// The shared sort order of this module: `partial_cmp` on numbers, with
+/// every NaN after every number (NaNs compare equal to each other).
+pub fn nan_last_cmp(a: &f32, b: &f32) -> Ordering {
+    match (a.is_nan(), b.is_nan()) {
+        (false, false) => a.partial_cmp(b).expect("neither side is NaN"),
+        (false, true) => Ordering::Less,
+        (true, false) => Ordering::Greater,
+        (true, true) => Ordering::Equal,
+    }
+}
 
 /// Summary statistics of a sample, in a fixed order used by the
 /// 166-feature extractor.
@@ -32,20 +52,28 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Number of scalar fields exposed by [`Summary::to_vec`].
+    /// Number of scalar fields exposed by [`Summary::to_array`].
     pub const LEN: usize = 12;
 
     /// Computes summary statistics; all-zero for an empty sample.
     pub fn of(values: &[f32]) -> Summary {
+        Summary::of_sorting(values, &mut Vec::new())
+    }
+
+    /// [`Summary::of`], sorting into the caller's buffer instead of a
+    /// fresh copy; `sorted` is left holding the sample in
+    /// [`nan_last_cmp`] order (empty for an empty sample).
+    pub fn of_sorting(values: &[f32], sorted: &mut Vec<f32>) -> Summary {
+        sorted.clear();
         if values.is_empty() {
             return Summary::default();
         }
         let n = values.len() as f32;
         let mean = values.iter().sum::<f32>() / n;
         let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / n;
-        let mut sorted = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        let median = percentile_sorted(&sorted, 50.0);
+        sorted.extend_from_slice(values);
+        sorted.sort_by(nan_last_cmp);
+        let median = percentile_sorted(sorted, 50.0);
         Summary {
             mean,
             std: var.sqrt(),
@@ -53,18 +81,18 @@ impl Summary {
             max: *sorted.last().expect("nonempty"),
             min: sorted[0],
             median,
-            p10: percentile_sorted(&sorted, 10.0),
-            p25: percentile_sorted(&sorted, 25.0),
-            p75: percentile_sorted(&sorted, 75.0),
-            p90: percentile_sorted(&sorted, 90.0),
+            p10: percentile_sorted(sorted, 10.0),
+            p25: percentile_sorted(sorted, 25.0),
+            p75: percentile_sorted(sorted, 75.0),
+            p90: percentile_sorted(sorted, 90.0),
             total: values.iter().sum(),
             skew_proxy: mean - median,
         }
     }
 
-    /// Fixed-order flattening (length [`Summary::LEN`]).
-    pub fn to_vec(self) -> Vec<f32> {
-        vec![
+    /// Fixed-order flattening.
+    pub fn to_array(self) -> [f32; Summary::LEN] {
+        [
             self.mean,
             self.std,
             self.var,
@@ -80,7 +108,7 @@ impl Summary {
         ]
     }
 
-    /// Field names matching [`Summary::to_vec`] order.
+    /// Field names matching [`Summary::to_array`] order.
     pub fn names() -> [&'static str; Summary::LEN] {
         [
             "mean", "std", "var", "max", "min", "median", "p10", "p25", "p75", "p90", "total",
@@ -107,7 +135,7 @@ pub fn percentile_sorted(sorted: &[f32], q: f32) -> f32 {
 /// Percentile of an unsorted sample.
 pub fn percentile(values: &[f32], q: f32) -> f32 {
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(nan_last_cmp);
     percentile_sorted(&sorted, q)
 }
 
@@ -117,7 +145,7 @@ pub fn ecdf(values: &[f32], points: &[f32]) -> Vec<f32> {
         return vec![0.0; points.len()];
     }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    sorted.sort_by(nan_last_cmp);
     points
         .iter()
         .map(|&p| {
@@ -127,14 +155,15 @@ pub fn ecdf(values: &[f32], points: &[f32]) -> Vec<f32> {
         .collect()
 }
 
-/// Histogram with `bins` equal-width bins over `[lo, hi]`; out-of-range
-/// values are clamped into the edge bins. Counts are normalised to
-/// fractions.
-pub fn histogram(values: &[f32], lo: f32, hi: f32, bins: usize) -> Vec<f32> {
+/// Histogram with `counts.len()` equal-width bins over `[lo, hi]`,
+/// written into `counts`; out-of-range values (and NaN) are clamped into
+/// the edge bins. Counts are normalised to fractions.
+pub fn histogram(values: &[f32], lo: f32, hi: f32, counts: &mut [f32]) {
+    let bins = counts.len();
     assert!(bins > 0 && hi > lo, "histogram: invalid bin spec");
-    let mut counts = vec![0.0f32; bins];
+    counts.fill(0.0);
     if values.is_empty() {
-        return counts;
+        return;
     }
     let width = (hi - lo) / bins as f32;
     for &v in values {
@@ -143,7 +172,6 @@ pub fn histogram(values: &[f32], lo: f32, hi: f32, bins: usize) -> Vec<f32> {
     }
     let n = values.len() as f32;
     counts.iter_mut().for_each(|c| *c /= n);
-    counts
 }
 
 /// Mean of a sample (0 when empty).
@@ -183,14 +211,63 @@ mod tests {
     fn summary_empty_is_zero() {
         let s = Summary::of(&[]);
         assert_eq!(s, Summary::default());
-        assert_eq!(s.to_vec(), vec![0.0; Summary::LEN]);
+        assert_eq!(s.to_array(), [0.0; Summary::LEN]);
     }
 
     #[test]
-    fn summary_vec_len_matches_names() {
-        let s = Summary::of(&[5.0]);
-        assert_eq!(s.to_vec().len(), Summary::LEN);
-        assert_eq!(Summary::names().len(), Summary::LEN);
+    fn summary_of_sorting_matches_of_and_reuses_the_buffer() {
+        let vals = [3.0, -0.0, 1.0, 0.0, 2.5];
+        let mut sorted = vec![9.0; 32];
+        let s = Summary::of_sorting(&vals, &mut sorted);
+        assert_eq!(s, Summary::of(&vals));
+        // Stable: -0.0 stays ahead of +0.0, as in the input.
+        let bits: Vec<u32> = sorted.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u32> = [-0.0f32, 0.0, 1.0, 2.5, 3.0]
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(bits, want);
+        Summary::of_sorting(&[], &mut sorted);
+        assert!(sorted.is_empty());
+    }
+
+    #[test]
+    fn nan_sorts_last_and_never_panics() {
+        // A NaN on every 7th value of a 40-sample made the old
+        // `partial_cmp(..).unwrap_or(Equal)` sort panic.
+        for len in 1..=400usize {
+            let vals: Vec<f32> = (0..len)
+                .map(|i| {
+                    if i % 7 == 0 {
+                        f32::NAN
+                    } else {
+                        (i * 37 % 101) as f32
+                    }
+                })
+                .collect();
+            let mut sorted = Vec::new();
+            let s = Summary::of_sorting(&vals, &mut sorted);
+            let nans = vals.iter().filter(|v| v.is_nan()).count();
+            assert!(sorted[len - nans..].iter().all(|v| v.is_nan()));
+            assert!(sorted[..len - nans].windows(2).all(|w| w[0] <= w[1]));
+            assert!(s.max.is_nan());
+            let _ = percentile(&vals, 50.0);
+            let e = ecdf(&vals, &[50.0]);
+            assert!((0.0..=1.0).contains(&e[0]));
+        }
+    }
+
+    #[test]
+    fn nan_last_cmp_agrees_with_partial_cmp_on_numbers() {
+        let vals = [f32::NEG_INFINITY, -1.0, -0.0, 0.0, 1.0, f32::INFINITY];
+        for a in vals {
+            for b in vals {
+                assert_eq!(Some(nan_last_cmp(&a, &b)), a.partial_cmp(&b));
+            }
+            assert_eq!(nan_last_cmp(&a, &f32::NAN), Ordering::Less);
+            assert_eq!(nan_last_cmp(&f32::NAN, &a), Ordering::Greater);
+        }
+        assert_eq!(nan_last_cmp(&f32::NAN, &-f32::NAN), Ordering::Equal);
     }
 
     #[test]
@@ -223,7 +300,8 @@ mod tests {
     #[test]
     fn histogram_fractions_sum_to_one() {
         let vals = vec![0.1, 0.2, 0.5, 0.9, 1.5, -0.5];
-        let h = histogram(&vals, 0.0, 1.0, 4);
+        let mut h = [7.0; 4];
+        histogram(&vals, 0.0, 1.0, &mut h);
         let sum: f32 = h.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6);
         // clamped: -0.5 lands in bin 0, 1.5 in bin 3
